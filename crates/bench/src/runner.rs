@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn executed_rows_certify_plans_on_both_backends() {
         let prob = MmmProblem::new(48, 48, 48, 16, 1 << 14);
-        for backend in [ExecBackend::Threaded, ExecBackend::Sharded { workers: 3 }] {
+        for backend in [ExecBackend::Threaded, ExecBackend::event()] {
             let rows = execute_all(&prob, &model(), backend);
             assert!(!rows.is_empty(), "{backend}: no algorithm executed");
             for r in &rows {

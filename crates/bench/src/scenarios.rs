@@ -246,7 +246,7 @@ pub fn allocation_core_counts() -> Vec<usize> {
 /// shapes as the paper scenarios, scaled so the full matrices fit in one
 /// test process while `p` still reaches paper-like rank counts. Used by the
 /// `exec` experiment, which runs them with real messages (threaded backend
-/// up to 512 ranks, sharded beyond) and holds the measured counters against
+/// up to 512 ranks, event beyond) and holds the measured counters against
 /// the plan.
 pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
     match shape {
@@ -260,7 +260,7 @@ pub fn exec_problem(shape: Shape, p: usize) -> MmmProblem {
 }
 
 /// The core counts of the executed (`exec`) experiment: one per executor
-/// regime — small threaded, at-the-cap threaded, and sharded beyond the cap
+/// regime — small threaded, at-the-cap threaded, and event beyond the cap
 /// up to the paper's 4096 ranks.
 pub fn exec_core_counts() -> Vec<usize> {
     vec![64, 512, 1024, 4096]

@@ -10,8 +10,8 @@
 //!
 //! [`execute`] interprets the same schedule on an [`mpsim`] machine with real
 //! messages and real matrix blocks. The body is a resumable (`async`) rank
-//! program over [`RankComm`], so it runs unchanged on the threaded, sharded
-//! and event-driven executors, in either communication backend of §7.4:
+//! program over [`RankComm`], so it runs unchanged on the threaded and
+//! event-driven executors, in either communication backend of §7.4:
 //!
 //! * **two-sided** — Bruck (log-depth) all-gathers over tagged sends/receives;
 //! * **one-sided** — every rank publishes its owned shards in an RMA window

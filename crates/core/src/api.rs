@@ -11,9 +11,8 @@
 //!   ([`MmmAlgorithm::execute`]) with mpiP-style measured counters. Rank
 //!   bodies are resumable ([`MmmAlgorithm::execute_rank`] returns a
 //!   [`RankFuture`]), so one body runs on every [`ExecBackend`]: threaded
-//!   (≤ 512 ranks), sharded worker-pool (a few thousand ranks) or
-//!   event-driven stackless state machines (any world size — verified to
-//!   p = 131072).
+//!   (≤ 512 ranks) or event-driven stackless state machines (any world
+//!   size — verified to p = 131072).
 //! * [`PlanError`] — the single error enum for everything that can go wrong
 //!   between "here is a problem" and "here is a validated plan": structural
 //!   plan defects, grid infeasibility, per-algorithm rank-count constraints
@@ -50,7 +49,7 @@ use densemat::gemm::matmul;
 use densemat::matrix::Matrix;
 use mpsim::comm::RankComm;
 use mpsim::cost::CostModel;
-use mpsim::exec::{run_spmd_pooled, run_spmd_with, ExecBackend, ExecError, SchedulerPool};
+use mpsim::exec::{run_spmd_with, ExecBackend, ExecError};
 use mpsim::machine::{MachineSpec, Placement, Topology};
 use mpsim::pool::PoolStats;
 use mpsim::stats::RankStats;
@@ -258,8 +257,8 @@ pub enum PlanError {
         reason: &'static str,
     },
     /// The selected execution backend refused the world (e.g. the threaded
-    /// executor's rank cap — pick [`ExecBackend::Sharded`],
-    /// [`ExecBackend::Event`] or [`ExecBackend::auto`] for larger worlds).
+    /// executor's rank cap — pick [`ExecBackend::Event`] or
+    /// [`ExecBackend::auto`] for larger worlds).
     Execution {
         /// The executor's typed refusal.
         source: ExecError,
@@ -467,8 +466,7 @@ pub trait MmmAlgorithm: Send + Sync + std::any::Any {
     /// Execute the plan on a simulated `machine`, assemble the distributed
     /// output and return it with the measured per-rank counters. The
     /// executor is picked by [`ExecBackend::auto`]: one OS thread per rank
-    /// up to the threaded cap, the sharded worker-pool executor up to a few
-    /// thousand ranks, the event-driven stackless executor beyond.
+    /// up to the threaded cap, the event-driven stackless executor beyond.
     fn execute(
         &self,
         plan: &DistPlan,
@@ -490,9 +488,8 @@ pub type RankFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// Object-safe driver behind [`MmmAlgorithm::execute`] — also callable on a
 /// `&dyn MmmAlgorithm` (e.g. a registry entry). Picks the execution backend
-/// with [`ExecBackend::auto`], so worlds beyond the threaded rank cap
-/// escalate to the sharded worker pool and then to the event-driven
-/// executor instead of failing.
+/// with [`ExecBackend::auto`], so worlds beyond the threaded rank cap run
+/// on the event-driven executor instead of failing.
 pub fn execute_boxed(
     algo: &(impl MmmAlgorithm + ?Sized),
     plan: &DistPlan,
@@ -522,41 +519,6 @@ pub fn execute_boxed_with(
         run_spmd_with(
             machine,
             backend,
-            |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
-        )?;
-    let c = assemble_c(out.results.into_iter().flatten(), plan.problem.m, plan.problem.n);
-    Ok(ExecReport {
-        c,
-        stats: out.stats,
-        topology: machine.topology.clone(),
-        pool: out.pool,
-    })
-}
-
-/// [`execute_boxed`] over a *shared* [`SchedulerPool`]: the world's ranks
-/// take their runnable slots from `pool` instead of a private per-run gate,
-/// so many independent executions (a serving layer's concurrent tenants)
-/// jointly respect one machine-wide worker cap. Results and per-rank
-/// counters are identical to a solo [`execute_boxed_with`] run — admission
-/// order never changes what a rank computes or how many words it moves.
-pub fn execute_boxed_pooled(
-    algo: &(impl MmmAlgorithm + ?Sized),
-    plan: &DistPlan,
-    machine: &MachineSpec,
-    pool: &SchedulerPool,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<ExecReport, PlanError> {
-    if plan.problem.p != machine.p {
-        return Err(PlanError::WorldSizeMismatch {
-            plan_ranks: plan.problem.p,
-            world_ranks: machine.p,
-        });
-    }
-    let out =
-        run_spmd_pooled(
-            machine,
-            pool,
             |mut comm| async move { algo.execute_rank(&mut comm, plan, a, b).await },
         )?;
     let c = assemble_c(out.results.into_iter().flatten(), plan.problem.m, plan.problem.n);
@@ -815,7 +777,8 @@ impl RunSession {
 
     /// Select the execution backend for [`execute`](Self::execute) /
     /// [`execute_verified`](Self::execute_verified). Default:
-    /// [`ExecBackend::auto`] — threaded up to the rank cap, sharded beyond.
+    /// [`ExecBackend::auto`] — threaded up to the rank cap
+    /// ([`mpsim::MAX_THREADED_RANKS`]), [`ExecBackend::event`] beyond.
     pub fn exec_backend(mut self, backend: ExecBackend) -> Self {
         self.exec = Some(backend);
         self
@@ -826,9 +789,9 @@ impl RunSession {
     ///
     /// Selects [`ExecBackend::Event`]`{ threads }` when no explicit
     /// [`exec_backend`](Self::exec_backend) was chosen, and upgrades an
-    /// explicit `Event` backend's thread count. Explicit blocking backends
-    /// (threaded/sharded) have no scheduler to parallelize, so the setting
-    /// is ignored for them. Counters and virtual times are bitwise-identical
+    /// explicit `Event` backend's thread count. An explicit threaded
+    /// backend has no scheduler to parallelize, so the setting is ignored
+    /// for it. Counters and virtual times are bitwise-identical
     /// at every thread count — the scheduler falls back to a single thread
     /// whenever it cannot prove that (shared-link topologies, α = 0).
     pub fn scheduler_threads(mut self, threads: usize) -> Self {
@@ -985,27 +948,6 @@ impl RunSession {
         execute_boxed_with(algo.as_ref(), plan, &self.machine_spec(), self.effective_exec_backend(), a, b)
     }
 
-    /// [`execute_planned`](Self::execute_planned) over a shared
-    /// [`SchedulerPool`] (see [`execute_boxed_pooled`]): the serving layer's
-    /// path for running many cached-plan jobs concurrently under one
-    /// machine-wide worker cap.
-    pub fn execute_planned_pooled(
-        &self,
-        plan: &DistPlan,
-        pool: &SchedulerPool,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> Result<ExecReport, PlanError> {
-        let algo = self.resolve()?;
-        if plan.algo != algo.id() {
-            return Err(PlanError::InvalidConfig {
-                algo: plan.algo,
-                reason: "plan was made for a different algorithm than the session resolves",
-            });
-        }
-        execute_boxed_pooled(algo.as_ref(), plan, &self.machine_spec(), pool, a, b)
-    }
-
     /// Plan and evaluate under the cost model.
     pub fn run(&self) -> Result<RunOutcome, PlanError> {
         let plan = self.plan()?;
@@ -1147,20 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_planned_pooled_matches_private_run() {
-        let prob = MmmProblem::new(24, 20, 28, 6, 4096);
-        let a = Matrix::deterministic(prob.m, prob.k, 5);
-        let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let session = RunSession::new(prob).exec_backend(ExecBackend::Sharded { workers: 2 });
-        let plan = session.plan_arc().unwrap();
-        let pool = SchedulerPool::new(2).unwrap();
-        let pooled = session.execute_planned_pooled(&plan, &pool, &a, &b).unwrap();
-        let private = session.execute(&a, &b).unwrap();
-        assert_eq!(pooled.c, private.c);
-        assert_eq!(pooled.stats, private.stats);
-    }
-
-    #[test]
     fn session_plans_and_simulates() {
         let prob = MmmProblem::new(64, 48, 56, 12, 1 << 12);
         let out = RunSession::new(prob).run().unwrap();
@@ -1282,18 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn session_sharded_backend_executes_verified() {
-        let prob = MmmProblem::new(24, 20, 28, 6, 4096);
-        let a = Matrix::deterministic(prob.m, prob.k, 5);
-        let b = Matrix::deterministic(prob.k, prob.n, 6);
-        let (plan, report) = RunSession::new(prob)
-            .exec_backend(ExecBackend::Sharded { workers: 2 })
-            .execute_verified(&a, &b)
-            .unwrap();
-        assert_eq!(report.total_recv_words(), plan.total_comm_words());
-    }
-
-    #[test]
     fn session_event_execution_measures_virtual_time() {
         let prob = MmmProblem::new(24, 20, 28, 6, 4096);
         let a = Matrix::deterministic(prob.m, prob.k, 5);
@@ -1364,10 +1280,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_falls_back_to_sharded_beyond_the_cap() {
+    fn auto_backend_falls_back_to_event_beyond_the_cap() {
         let prob = MmmProblem::new(2048, 2048, 2048, 600, 1 << 22);
         let session = RunSession::new(prob);
-        assert!(matches!(session.effective_exec_backend(), ExecBackend::Sharded { .. }));
+        assert_eq!(session.effective_exec_backend(), ExecBackend::event());
         let small = RunSession::new(MmmProblem::new(16, 16, 16, 4, 4096));
         assert_eq!(small.effective_exec_backend(), ExecBackend::Threaded);
     }

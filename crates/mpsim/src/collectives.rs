@@ -12,7 +12,7 @@
 //!
 //! Every collective is an `async fn` over [`RankComm`]: each internal
 //! receive or exchange is a resumable wait-state, so the collectives run
-//! unchanged on the threaded, sharded and event-driven executors.
+//! unchanged on the threaded and event-driven executors.
 
 use crate::comm::RankComm;
 use crate::stats::Phase;
@@ -721,33 +721,23 @@ mod tests {
     }
 
     #[test]
-    fn collectives_complete_on_the_sharded_executor() {
-        // A world far bigger than the worker pool: tree parents and ring
-        // neighbours park awaiting peers, so the gate must rotate its two
-        // slots through all 24 ranks for any collective to terminate.
-        let p = 24;
-        let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, collective_workload)
-            .expect("sharded run accepted");
-        for (r, (data, _, gathered)) in out.results.iter().enumerate() {
-            assert_eq!(data, &vec![7.0; 5], "rank {r} missed the broadcast");
-            assert_eq!(*gathered, p, "rank {r} missed allgather chunks");
-        }
-        let expect: f64 = (0..p).map(|r| r as f64).sum();
-        assert_eq!(out.results[0].1, vec![expect]);
-    }
-
-    #[test]
     fn collectives_complete_on_the_event_executor() {
-        // The same workload as stackless state machines on one scheduler
-        // thread: every tree/ring wait must park and resume through the
-        // matching table, and the measured counters must equal the threaded
-        // baseline bit for bit.
+        // The collective workload as stackless state machines on one
+        // scheduler thread: every tree/ring wait must park and resume
+        // through the matching table, every rank must see the broadcast, the
+        // reduction and all allgather chunks, and the measured counters must
+        // equal the threaded baseline bit for bit.
         let p = 24;
         let spec = MachineSpec::test_machine(p, 1000);
         let threaded = run_spmd(&spec, collective_workload);
         let event =
             run_spmd_with(&spec, ExecBackend::event(), collective_workload).expect("event run accepted");
+        for (r, (data, _, gathered)) in event.results.iter().enumerate() {
+            assert_eq!(data, &vec![7.0; 5], "rank {r} missed the broadcast");
+            assert_eq!(*gathered, p, "rank {r} missed allgather chunks");
+        }
+        let expect: f64 = (0..p).map(|r| r as f64).sum();
+        assert_eq!(event.results[0].1, vec![expect]);
         assert_eq!(threaded.results, event.results);
         // Counters match bit for bit; the event run additionally carries the
         // virtual clock, which the threaded baseline does not have.

@@ -4,8 +4,8 @@
 //! rank-facing handle: operations that may have to wait for a peer
 //! ([`RankComm::recv`], [`RankComm::barrier`], [`RankComm::fence`]) are
 //! `async` *wait-states*, so one body runs unchanged on every
-//! [`crate::exec::ExecBackend`] — parked OS threads on the
-//! threaded/sharded backends, stackless state machines on the event backend.
+//! [`crate::exec::ExecBackend`] — parked OS threads on the threaded
+//! backend, stackless state machines on the event backend.
 //!
 //! Two communication backends mirror §7.4 of the paper:
 //!
@@ -20,13 +20,12 @@
 //!   buffer).
 //!
 //! [`Comm`] is the blocking (channel-based) implementation used by the
-//! threaded and sharded executors; [`crate::event::EventComm`] is the
-//! event-driven one. Every operation updates the per-rank [`StatsBoard`]
-//! counters identically, which is how the "communication volume per rank"
-//! measurements of Figures 6–7 are taken — and why all three executors
-//! measure bitwise-identical numbers.
+//! threaded executor; [`crate::event::EventComm`] is the event-driven one.
+//! Every operation updates the per-rank [`StatsBoard`] counters identically,
+//! which is how the "communication volume per rank" measurements of
+//! Figures 6–7 are taken — and why both executors measure bitwise-identical
+//! numbers.
 
-use std::cell::Cell;
 use std::future::Future;
 use std::pin::pin;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -35,8 +34,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::event::EventComm;
-use crate::exec::{ExecError, Waiting, WorkerGate};
-use crate::machine::DEFAULT_RECV_TIMEOUT;
+use crate::exec::{ExecError, Waiting};
 use crate::pool::BufferPool;
 use crate::stats::{Phase, StatsBoard};
 
@@ -131,38 +129,6 @@ pub(crate) fn record_rma(stats: &StatsBoard, sender: usize, receiver: usize, wor
     stats.rank(receiver).record_recv(words, phase);
 }
 
-/// A rank's handle on the sharded executor's [`WorkerGate`]: tracks whether
-/// this rank currently holds a runnable slot, so rendezvous points can
-/// suspend (return the slot) and resume (re-acquire it) without
-/// double-releasing on panic unwinds.
-struct RankGate {
-    gate: Arc<WorkerGate>,
-    held: Cell<bool>,
-}
-
-impl RankGate {
-    /// Yield the worker slot before blocking.
-    fn suspend(&self) {
-        if self.held.replace(false) {
-            self.gate.release();
-        }
-    }
-
-    /// Re-acquire a worker slot after the rendezvous completed.
-    fn resume(&self) {
-        if !self.held.replace(true) {
-            self.gate.acquire();
-        }
-    }
-}
-
-impl Drop for RankGate {
-    fn drop(&mut self) {
-        // The rank finished (or panicked while runnable): return its slot.
-        self.suspend();
-    }
-}
-
 /// A rank's handle to the simulated machine.
 pub struct Comm {
     rank: usize,
@@ -171,28 +137,18 @@ pub struct Comm {
     inbox: Receiver<Packet>,
     /// Out-of-order messages awaiting a matching receive.
     pending: Vec<Packet>,
-    /// Sharded-executor admission handle (`None` on the threaded backend).
-    gate: Option<RankGate>,
     /// Deadlock guard: how long a blocking receive waits before raising
     /// [`ExecError::DeadlockSuspected`].
     recv_timeout: Duration,
 }
 
 impl Comm {
-    /// Build communicators for a world of `p` ranks sharing `stats`.
-    pub fn create_world(p: usize, stats: Arc<StatsBoard>) -> Vec<Comm> {
-        Comm::create_world_gated(p, stats, None, DEFAULT_RECV_TIMEOUT, BufferPool::shared())
-    }
-
-    /// [`create_world`](Self::create_world) for an executor: every rank's
-    /// blocking rendezvous will yield its runnable slot to `gate` (sharded
-    /// worlds), a blocking receive that waits past `recv_timeout` raises
-    /// the typed deadlock guard, and `pool` is the world's buffer-reuse
-    /// arena (shared across worlds by the serving layer).
-    pub fn create_world_gated(
+    /// Build communicators for a world of `p` ranks sharing `stats`: a
+    /// blocking receive that waits past `recv_timeout` raises the typed
+    /// deadlock guard, and `pool` is the world's buffer-reuse arena.
+    pub fn create_world(
         p: usize,
         stats: Arc<StatsBoard>,
-        gate: Option<Arc<WorkerGate>>,
         recv_timeout: Duration,
         pool: Arc<BufferPool>,
     ) -> Vec<Comm> {
@@ -221,22 +177,9 @@ impl Comm {
                 shared: shared.clone(),
                 inbox,
                 pending: Vec::new(),
-                gate: gate.as_ref().map(|g| RankGate {
-                    gate: g.clone(),
-                    held: Cell::new(false),
-                }),
                 recv_timeout,
             })
             .collect()
-    }
-
-    /// Acquire this rank's initial runnable slot. The sharded executor calls
-    /// this on the rank's own carrier thread before any user code; a no-op
-    /// on ungated (threaded) communicators.
-    pub fn gate_enter(&self) {
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
     }
 
     /// This rank's id, `0..p`.
@@ -304,10 +247,6 @@ impl Comm {
     /// arrives. Messages from the same sender with the same tag are delivered
     /// in send order.
     ///
-    /// On the sharded backend a receive with no matching message buffered is
-    /// a resumable wait-state: the rank yields its worker slot while it
-    /// waits and re-acquires one once the message arrived.
-    ///
     /// # Panics
     /// Panics with a typed [`ExecError::DeadlockSuspected`] payload after
     /// [`MachineSpec::recv_timeout`](crate::machine::MachineSpec) without a
@@ -320,7 +259,7 @@ impl Comm {
             self.shared.stats.rank(self.rank).record_recv(msg.data.len() as u64, phase);
             return msg.data;
         }
-        // Drain already-delivered messages without giving up the worker slot.
+        // Drain already-delivered messages before blocking.
         loop {
             match self.inbox.try_recv() {
                 Ok(msg) if msg.from == from && msg.tag == tag => {
@@ -332,11 +271,7 @@ impl Comm {
                 Err(TryRecvError::Disconnected) => raise(ExecError::WorldTornDown { rank: self.rank }),
             }
         }
-        // Nothing buffered: park until the match arrives, yielding this
-        // rank's worker slot for the duration of the wait.
-        if let Some(g) = &self.gate {
-            g.suspend();
-        }
+        // Nothing buffered: park until the match arrives.
         let data = loop {
             let msg = match self.inbox.recv_timeout(self.recv_timeout) {
                 Ok(msg) => msg,
@@ -351,9 +286,6 @@ impl Comm {
             }
             self.pending.push(msg);
         };
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
         self.shared.stats.rank(self.rank).record_recv(data.len() as u64, phase);
         data
     }
@@ -366,18 +298,9 @@ impl Comm {
         self.recv(from, tag, phase)
     }
 
-    /// Block until all ranks reach the barrier. On the sharded backend the
-    /// wait is a resumable wait-state: the rank yields its worker slot while
-    /// standing at the barrier (all `p` ranks must arrive, and fewer than
-    /// `p` workers exist).
+    /// Block until all ranks reach the barrier.
     pub fn barrier(&self) {
-        if let Some(g) = &self.gate {
-            g.suspend();
-        }
         self.shared.barrier.wait();
-        if let Some(g) = &self.gate {
-            g.resume();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -460,11 +383,10 @@ impl Comm {
 ///
 /// Rendezvous operations ([`recv`](Self::recv), [`barrier`](Self::barrier),
 /// [`fence`](Self::fence), [`sendrecv`](Self::sendrecv)) are `async`
-/// wait-states. On the blocking backends (threaded/sharded) they complete
-/// within a single poll — the underlying [`Comm`] parks the rank's OS thread
-/// or yields its worker slot exactly as before. On the event backend they
-/// return `Poll::Pending` and the scheduler parks the rank's state machine
-/// in the matching table, costing bytes instead of a stack.
+/// wait-states. On the threaded backend they complete within a single
+/// poll — the underlying [`Comm`] parks the rank's OS thread. On the event
+/// backend they return `Poll::Pending` and the scheduler parks the rank's
+/// state machine in the matching table, costing bytes instead of a stack.
 ///
 /// Rank bodies are `async` closures over this handle:
 ///
@@ -483,7 +405,7 @@ impl Comm {
 /// assert_eq!(out.results[1], 0.0);
 /// ```
 pub enum RankComm {
-    /// Channel-backed blocking communicator (threaded/sharded executors).
+    /// Channel-backed blocking communicator (threaded executor).
     Blocking(Comm),
     /// Event-world handle (event executor): wait-states actually suspend.
     Event(EventComm),
@@ -681,10 +603,11 @@ pub fn block_on_ready<F: Future>(fut: F) -> F::Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::DEFAULT_RECV_TIMEOUT;
 
     fn world(p: usize) -> (Vec<Comm>, Arc<StatsBoard>) {
         let stats = Arc::new(StatsBoard::new(p));
-        (Comm::create_world(p, stats.clone()), stats)
+        (Comm::create_world(p, stats.clone(), DEFAULT_RECV_TIMEOUT, BufferPool::shared()), stats)
     }
 
     #[test]

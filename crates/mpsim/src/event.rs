@@ -2,10 +2,9 @@
 //! [`ExecBackend::Event`](crate::exec::ExecBackend::Event) — a
 //! true discrete-event simulator with a per-rank **virtual clock**.
 //!
-//! The sharded executor multiplexes ranks over a worker pool, but every rank
-//! still owns an OS thread whose (small) stack it keeps while parked —
-//! ~64 KiB of touched pages per rank, which caps practical worlds around a
-//! few thousand ranks. This module removes the per-rank thread entirely:
+//! The threaded executor gives every rank an OS thread whose stack it keeps
+//! while parked, which caps practical worlds at a few hundred ranks. This
+//! module removes the per-rank thread entirely:
 //!
 //! * every rank body is a *stackless resumable state machine* — the `async`
 //!   rank body the caller hands to [`crate::exec::run_spmd_with`], compiled
@@ -60,7 +59,7 @@
 //! the old strict-FIFO order (the property tests assert this on the
 //! scheduler trace). Message matching, delivery order and counter updates
 //! mirror the blocking [`crate::comm::Comm`] exactly, so results are bitwise
-//! identical and the per-rank counters equal across all three backends —
+//! identical and the per-rank counters equal across both backends —
 //! the clock changes *when* ranks are polled, never *what* they compute.
 //! Worlds of 100k+ ranks execute end-to-end with real messages in a few
 //! hundred bytes per rank.
@@ -419,7 +418,7 @@ pub struct EventWorld {
 }
 
 impl EventWorld {
-    fn new(spec: &MachineSpec, stats: Arc<StatsBoard>, traced: bool, pool: Arc<BufferPool>) -> Self {
+    fn new(spec: &MachineSpec, stats: Arc<StatsBoard>, traced: bool) -> Self {
         let p = spec.p;
         let net = Network::new(spec);
         let n_links = net.n_links();
@@ -431,7 +430,7 @@ impl EventWorld {
             net,
             timeout_s: spec.recv_timeout.as_secs_f64(),
             faults: spec.faults.as_ref().map(|plan| plan.schedule(p)),
-            pool,
+            pool: Arc::new(BufferPool::new(spec.pooling)),
             engine: Engine::Seq(Box::new(Mutex::new(WorldState {
                 mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
                 waits: vec![Wait::None; p],
@@ -456,12 +455,7 @@ impl EventWorld {
 
     /// A world on the multi-region parallel engine (`regions` ≥ 2; flat
     /// topology, α > 0 — the caller guarantees both).
-    fn new_parallel(
-        spec: &MachineSpec,
-        stats: Arc<StatsBoard>,
-        regions: usize,
-        pool: Arc<BufferPool>,
-    ) -> Self {
+    fn new_parallel(spec: &MachineSpec, stats: Arc<StatsBoard>, regions: usize) -> Self {
         let p = spec.p;
         let net = Network::new(spec);
         EventWorld {
@@ -472,7 +466,7 @@ impl EventWorld {
             net,
             timeout_s: spec.recv_timeout.as_secs_f64(),
             faults: spec.faults.as_ref().map(|plan| plan.schedule(p)),
-            pool,
+            pool: Arc::new(BufferPool::new(spec.pooling)),
             engine: Engine::Par(ParWorld::new(p, regions)),
         }
     }
@@ -1272,7 +1266,6 @@ fn run_event_world<R, F, Fut>(
     spec: &MachineSpec,
     f: F,
     traced: bool,
-    pool: Arc<BufferPool>,
 ) -> Result<(RunOutput<R>, Vec<SchedEvent>), ExecError>
 where
     F: Fn(crate::comm::RankComm) -> Fut,
@@ -1280,7 +1273,7 @@ where
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new(spec, stats.clone(), traced, pool));
+    let world = Arc::new(EventWorld::new(spec, stats.clone(), traced));
     // One boxed state machine per rank — the entire per-rank footprint.
     let mut tasks: Vec<Option<Pin<Box<Fut>>>> = (0..p)
         .map(|rank| {
@@ -1763,7 +1756,6 @@ fn run_event_world_parallel<R, F, Fut>(
     spec: &MachineSpec,
     regions: usize,
     f: F,
-    pool: Arc<BufferPool>,
 ) -> Result<RunOutput<R>, ExecError>
 where
     R: Send,
@@ -1772,7 +1764,7 @@ where
 {
     let p = spec.p;
     let stats = Arc::new(StatsBoard::new(p));
-    let world = Arc::new(EventWorld::new_parallel(spec, stats.clone(), regions, pool));
+    let world = Arc::new(EventWorld::new_parallel(spec, stats.clone(), regions));
     let Engine::Par(pw) = &world.engine else {
         unreachable!("new_parallel builds a parallel engine")
     };
@@ -1860,34 +1852,11 @@ where
     F: Fn(crate::comm::RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let pool = spec_pool(spec);
-    try_run_spmd_event_threads_pooled(spec, threads, f, pool)
-}
-
-/// [`try_run_spmd_event_threads`] against a caller-supplied arena — the
-/// executor layer threads one warm pool through many runs here.
-pub(crate) fn try_run_spmd_event_threads_pooled<R, F, Fut>(
-    spec: &MachineSpec,
-    threads: usize,
-    f: F,
-    pool: Arc<BufferPool>,
-) -> Result<RunOutput<R>, ExecError>
-where
-    R: Send,
-    F: Fn(crate::comm::RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
     let regions = threads.min(spec.p.max(1));
     if regions <= 1 || !spec.topology.commutes_with_region_sharding() || spec.cost.alpha_s <= 0.0 {
-        return run_event_world(spec, f, false, pool).map(|(out, _)| out);
+        return try_run_spmd_event(spec, f);
     }
-    run_event_world_parallel(spec, regions, f, pool)
-}
-
-/// The arena a spec asks for: enabled unless [`MachineSpec::pooling`] turned
-/// recycling off (the pool then degrades to plain allocation).
-fn spec_pool(spec: &MachineSpec) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(spec.pooling))
+    run_event_world_parallel(spec, regions, f)
 }
 
 /// Run `f` on every rank of `spec` as an event-driven stackless state
@@ -1900,8 +1869,7 @@ where
     F: Fn(crate::comm::RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let pool = spec_pool(spec);
-    run_event_world(spec, f, false, pool).map(|(out, _)| out)
+    run_event_world(spec, f, false).map(|(out, _)| out)
 }
 
 /// Legacy panicking form of [`try_run_spmd_event`].
@@ -1930,8 +1898,7 @@ where
     F: Fn(crate::comm::RankComm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let pool = spec_pool(spec);
-    match run_event_world(spec, f, true, pool) {
+    match run_event_world(spec, f, true) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }

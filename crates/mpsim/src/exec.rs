@@ -2,39 +2,29 @@
 //! results.
 //!
 //! Rank bodies are `async` closures over [`RankComm`] —
-//! `Fn(RankComm) -> impl Future<Output = R>` — so the same body runs on all
-//! three backends of the SPMD contract ([`ExecBackend`]):
+//! `Fn(RankComm) -> impl Future<Output = R>` — so the same body runs on both
+//! backends of the SPMD contract ([`ExecBackend`]):
 //!
 //! * **Threaded** — one full OS thread per rank; wait-states block the
 //!   thread. Simple and fast for small worlds, capped at
-//!   [`MAX_THREADED_RANKS`] ranks.
-//! * **Sharded** — `p` simulated ranks multiplexed over a fixed pool of
-//!   `workers` runnable slots. Each rank gets a lightweight small-stack
-//!   carrier thread, but at most `workers` of them are ever runnable: the
-//!   communicator's rendezvous points (a `recv` waiting for a message, a
-//!   `barrier`/`fence`) yield the rank's worker slot to the next runnable
-//!   rank instead of blocking it (see [`WorkerGate`]). Admission is FIFO, so
-//!   runnable ranks are stepped round-robin. Parked ranks still pin their
-//!   carrier stacks (~64 KiB touched each), which bounds practical worlds
-//!   to a few thousand ranks.
+//!   [`MAX_THREADED_RANKS`] ranks. It is the reference the event scheduler
+//!   is tested against.
 //! * **Event** — no per-rank thread at all: every rank body is compiled by
-//!   rustc into a *stackless* resumable state machine, and a single-threaded
-//!   scheduler drives all of them as a discrete-event simulation: the ready
-//!   queue is a min-heap ordered by each rank's virtual α-β-γ timestamp
-//!   (FIFO on ties), so runs also *measure* per-rank virtual time
-//!   ([`crate::event`]). A parked rank costs bytes (its suspended state
-//!   machine plus a matching-table entry), which is what lets 100k+-rank
-//!   worlds execute end-to-end with real messages.
+//!   rustc into a *stackless* resumable state machine, and a discrete-event
+//!   scheduler drives all of them: the ready queue is a min-heap ordered by
+//!   each rank's virtual α-β-γ timestamp (FIFO on ties), so runs also
+//!   *measure* per-rank virtual time ([`crate::event`]). A parked rank costs
+//!   bytes (its suspended state machine plus a matching-table entry), which
+//!   is what lets 100k+-rank worlds execute end-to-end with real messages.
 //!
-//! [`ExecBackend::auto`] escalates Threaded → Sharded → Event by world size.
-//! All three backends are observationally identical: bitwise-equal results
-//! and identical per-rank counters (the conformance suite enforces this) —
-//! only the event backend additionally fills `RankStats::time`.
+//! [`ExecBackend::auto`] picks Threaded up to the rank cap and Event beyond.
+//! Both backends are observationally identical: bitwise-equal results and
+//! identical per-rank counters (the conformance suite enforces this) — only
+//! the event backend additionally fills `RankStats::time`.
 
-use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::future::Future;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::comm::{block_on_ready, Comm, RankComm};
 use crate::machine::MachineSpec;
@@ -42,35 +32,16 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::stats::{RankStats, StatsBoard};
 
 /// Maximum number of simulated ranks the threaded executor accepts. Beyond
-/// this, use [`ExecBackend::Sharded`] or [`ExecBackend::Event`] (or
-/// [`ExecBackend::auto`], which escalates automatically) — the per-rank word
-/// counts are exact either way; the executors exist to validate them with
-/// real data.
+/// this, use [`ExecBackend::Event`] (or [`ExecBackend::auto`], which
+/// switches automatically) — the per-rank word counts are exact either way;
+/// the executors exist to validate them with real data.
 pub const MAX_THREADED_RANKS: usize = 512;
-
-/// World size past which [`ExecBackend::auto`] escalates from the sharded
-/// worker pool to the event-driven executor: each sharded rank pins a
-/// carrier stack even while parked, so beyond a few thousand ranks the
-/// stackless state machines win on both memory and spawn time.
-pub const MAX_SHARDED_RANKS: usize = 8192;
-
-/// Stack size of one sharded rank carrier. Rank bodies keep their working
-/// sets on the heap (matrix tiles, message buffers) and recurse at most
-/// `log2 p` deep (CARMA's splitting), so a modest fixed stack suffices and
-/// keeps 4096-rank worlds cheap.
-pub const SHARDED_STACK_BYTES: usize = 1 << 20;
 
 /// How an SPMD world is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
     /// One OS thread per rank; at most [`MAX_THREADED_RANKS`] ranks.
     Threaded,
-    /// `p` carrier threads multiplexed over `workers` runnable slots; worlds
-    /// up to a few thousand ranks.
-    Sharded {
-        /// Maximum number of concurrently runnable ranks (≥ 1).
-        workers: usize,
-    },
     /// Event-driven stackless state machines on `threads` scheduler threads;
     /// any world size (verified to p = 1,048,576).
     ///
@@ -92,36 +63,25 @@ pub enum ExecBackend {
 
 impl ExecBackend {
     /// The event backend on a single scheduler thread — the form
-    /// [`ExecBackend::auto`] escalates to, and the default `threads` for
-    /// [`ExecBackend::Event`].
+    /// [`ExecBackend::auto`] picks beyond the threaded cap, and the default
+    /// `threads` for [`ExecBackend::Event`].
     pub const fn event() -> ExecBackend {
         ExecBackend::Event { threads: 1 }
     }
 
-    /// The backend for a `p`-rank world, escalating by world size:
+    /// The backend for a `p`-rank world:
     ///
     /// * `p ≤` [`MAX_THREADED_RANKS`] (512): [`ExecBackend::Threaded`] — one
     ///   OS thread per rank.
-    /// * `p ≤` [`MAX_SHARDED_RANKS`] (8192): [`ExecBackend::Sharded`] over
-    ///   [`Self::default_workers`] runnable slots.
     /// * beyond: [`ExecBackend::event`] — the discrete-event scheduler on a
     ///   single thread ([`ExecBackend::Event`] with explicit `threads` is an
     ///   opt-in, never chosen automatically).
     pub fn auto(p: usize) -> ExecBackend {
         if p <= MAX_THREADED_RANKS {
             ExecBackend::Threaded
-        } else if p <= MAX_SHARDED_RANKS {
-            ExecBackend::Sharded {
-                workers: Self::default_workers(),
-            }
         } else {
             ExecBackend::event()
         }
-    }
-
-    /// Default sharded worker-pool size: the machine's available parallelism.
-    pub fn default_workers() -> usize {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8)
     }
 }
 
@@ -129,7 +89,6 @@ impl fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecBackend::Threaded => write!(f, "threaded"),
-            ExecBackend::Sharded { workers } => write!(f, "sharded({workers})"),
             ExecBackend::Event { threads } if *threads <= 1 => write!(f, "event"),
             ExecBackend::Event { threads } => write!(f, "event({threads})"),
         }
@@ -146,11 +105,7 @@ pub struct ParseBackendError {
 
 impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown execution backend {:?} (want threaded | sharded | sharded(N) | event | event(N))",
-            self.name
-        )
+        write!(f, "unknown execution backend {:?} (want threaded | event | event(N))", self.name)
     }
 }
 
@@ -160,42 +115,24 @@ impl std::str::FromStr for ExecBackend {
     type Err = ParseBackendError;
 
     /// Parse the [`Display`](std::fmt::Display) form back: `threaded`,
-    /// `event`, `event(N)`, `sharded(N)` — plus bare `sharded`, which takes
-    /// [`ExecBackend::default_workers`]. (`auto` is not a backend: it needs
-    /// a world size — callers resolve it with [`ExecBackend::auto`].)
+    /// `event`, `event(N)` (or `event:N`) with `N ≥ 1`. (`auto` is not a
+    /// backend: it needs a world size — callers resolve it with
+    /// [`ExecBackend::auto`].)
     fn from_str(s: &str) -> Result<Self, ParseBackendError> {
         let err = || ParseBackendError { name: s.to_string() };
-        let parse_count = |inner: &str| -> Result<usize, ParseBackendError> {
-            let n: usize = inner.parse().map_err(|_| err())?;
-            if n == 0 {
-                return Err(err());
-            }
-            Ok(n)
-        };
         match s.to_ascii_lowercase().as_str() {
             "threaded" => Ok(ExecBackend::Threaded),
             "event" => Ok(ExecBackend::event()),
-            "sharded" => Ok(ExecBackend::Sharded {
-                workers: Self::default_workers(),
-            }),
             lower => {
-                if let Some(inner) = lower
+                let inner = lower
                     .strip_prefix("event(")
                     .and_then(|r| r.strip_suffix(')'))
                     .or_else(|| lower.strip_prefix("event:"))
-                {
-                    return Ok(ExecBackend::Event {
-                        threads: parse_count(inner)?,
-                    });
-                }
-                let inner = lower
-                    .strip_prefix("sharded(")
-                    .and_then(|r| r.strip_suffix(')'))
-                    .or_else(|| lower.strip_prefix("sharded:"))
                     .ok_or_else(err)?;
-                Ok(ExecBackend::Sharded {
-                    workers: parse_count(inner)?,
-                })
+                match inner.parse() {
+                    Ok(threads) if threads > 0 => Ok(ExecBackend::Event { threads }),
+                    _ => Err(err()),
+                }
             }
         }
     }
@@ -234,7 +171,7 @@ impl fmt::Display for Waiting {
 
 /// Why an executor refused to run a world (before any rank started), or
 /// rejected a finished or wedged one — the typed surface that keeps
-/// threaded/sharded deadlocks from aborting the process.
+/// threaded deadlocks from aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecError {
     /// The threaded backend's rank cap was exceeded.
@@ -244,11 +181,9 @@ pub enum ExecError {
         /// The threaded cap ([`MAX_THREADED_RANKS`]).
         max: usize,
     },
-    /// A sharded pool of zero workers can never step any rank.
-    NoWorkers,
     /// A rank's tracked working set exceeded the machine's enforced per-rank
     /// memory budget ([`MachineSpec::mem_budget`]). Raised identically by
-    /// all three backends — the budget check runs on the measured
+    /// both backends — the budget check runs on the measured
     /// `peak_mem_words` counters, which the backends share.
     MemBudgetExceeded {
         /// First offending rank.
@@ -261,7 +196,7 @@ pub enum ExecError {
     /// A rank could not make progress: on the event backend, no rank was
     /// runnable while some were unfinished (structural detection), or a
     /// parked `recv` outlived [`MachineSpec::recv_timeout`] in *virtual*
-    /// time while other ranks kept advancing; on the blocking backends, a
+    /// time while other ranks kept advancing; on the threaded backend, a
     /// `recv` waited past the same timeout in wall-clock time (e.g. a
     /// mismatched tag).
     DeadlockSuspected {
@@ -303,10 +238,9 @@ impl fmt::Display for ExecError {
             ExecError::WorldTooLarge { p, max } => write!(
                 f,
                 "threaded execution supports at most {max} ranks (got {p}); \
-                 use ExecBackend::Sharded or ExecBackend::Event for larger worlds \
-                 (ExecBackend::auto escalates by world size)"
+                 use ExecBackend::event() for larger worlds \
+                 (ExecBackend::auto picks it beyond the cap)"
             ),
-            ExecError::NoWorkers => write!(f, "sharded execution needs at least one worker"),
             ExecError::MemBudgetExceeded { rank, need, budget } => write!(
                 f,
                 "rank {rank} peaked at {need} words of working memory, exceeding the \
@@ -346,7 +280,7 @@ pub struct RunOutput<R> {
     pub pool: PoolStats,
 }
 
-/// The shared budget gate of all three backends: with an enforcing
+/// The shared budget gate of both backends: with an enforcing
 /// [`MachineSpec::mem_budget`], a finished run in which any rank's measured
 /// peak working set exceeds the budget becomes a typed
 /// [`ExecError::MemBudgetExceeded`] instead of an output.
@@ -366,104 +300,21 @@ fn enforce_mem_budget<R>(spec: &MachineSpec, out: RunOutput<R>) -> Result<RunOut
 }
 
 // ---------------------------------------------------------------------------
-// The worker gate: the sharded scheduler's admission control
-// ---------------------------------------------------------------------------
-
-/// FIFO admission gate of the sharded executor: at most `workers` ranks hold
-/// a runnable slot at any moment.
-///
-/// A rank acquires a slot before running user code and *suspends* (returns
-/// its slot) at every rendezvous that would block — waiting for a message,
-/// standing at a barrier. Release hands the freed slot directly to the
-/// longest-waiting rank (one targeted `unpark`, no thundering herd), so
-/// runnable ranks are admitted round-robin and a parked rank never pins a
-/// worker.
-pub struct WorkerGate {
-    state: Mutex<GateQueue>,
-}
-
-struct GateQueue {
-    /// Unassigned slots.
-    free: usize,
-    /// Ranks waiting for a slot, FIFO.
-    queue: VecDeque<(u64, std::thread::Thread)>,
-    /// Tickets whose slot was handed over but whose thread has not resumed.
-    granted: HashSet<u64>,
-    next_ticket: u64,
-}
-
-impl WorkerGate {
-    /// A gate admitting `workers` concurrently runnable ranks.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "the worker pool needs at least one slot");
-        WorkerGate {
-            state: Mutex::new(GateQueue {
-                free: workers,
-                queue: VecDeque::new(),
-                granted: HashSet::new(),
-                next_ticket: 0,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateQueue> {
-        // A poisoned gate means a rank panicked; let that panic surface.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Block until a runnable slot is free (FIFO order).
-    pub fn acquire(&self) {
-        let ticket = {
-            let mut st = self.lock();
-            if st.free > 0 && st.queue.is_empty() {
-                st.free -= 1;
-                return;
-            }
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.queue.push_back((ticket, std::thread::current()));
-            ticket
-        };
-        loop {
-            std::thread::park();
-            if self.lock().granted.remove(&ticket) {
-                return;
-            }
-        }
-    }
-
-    /// Return a slot, handing it to the longest-waiting rank if any.
-    pub fn release(&self) {
-        let mut st = self.lock();
-        if let Some((ticket, thread)) = st.queue.pop_front() {
-            // The slot transfers directly: `free` stays unchanged.
-            st.granted.insert(ticket);
-            thread.unpark();
-        } else {
-            st.free += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Runners
 // ---------------------------------------------------------------------------
 
 /// Run the rank body `f` on every rank of `spec` under `backend` and collect
 /// results. The body receives its [`RankComm`] by value and returns a
-/// future; on the threaded/sharded backends the future is driven on the
-/// rank's own thread (wait-states block it), on the event backend all bodies
-/// are stackless state machines on one scheduler thread.
+/// future; on the threaded backend the future is driven on the rank's own
+/// thread (wait-states block it), on the event backend all bodies are
+/// stackless state machines on the scheduler's thread(s).
 ///
 /// # Errors
 /// [`ExecError::WorldTooLarge`] when the threaded backend is asked for more
-/// than [`MAX_THREADED_RANKS`] ranks; [`ExecError::NoWorkers`] for an empty
-/// sharded pool; [`ExecError::MemBudgetExceeded`] when the machine enforces
-/// a per-rank memory budget ([`MachineSpec::mem_budget`]) and a rank's
-/// measured peak working set breaks it — on any backend.
+/// than [`MAX_THREADED_RANKS`] ranks; [`ExecError::MemBudgetExceeded`] when
+/// the machine enforces a per-rank memory budget
+/// ([`MachineSpec::mem_budget`]) and a rank's measured peak working set
+/// breaks it — on either backend.
 ///
 /// # Panics
 /// Panics if any rank panics (the panic is propagated).
@@ -485,115 +336,10 @@ where
                     max: MAX_THREADED_RANKS,
                 });
             }
-            run_world(spec, None, spec_arena(spec), f)?
+            run_world(spec, f)?
         }
-        ExecBackend::Sharded { workers } => {
-            if workers == 0 {
-                return Err(ExecError::NoWorkers);
-            }
-            run_world(spec, Some(Arc::new(WorkerGate::new(workers.min(spec.p)))), spec_arena(spec), f)?
-        }
-        ExecBackend::Event { threads } if threads > 1 => {
-            crate::event::try_run_spmd_event_threads_pooled(spec, threads, f, spec_arena(spec))?
-        }
-        ExecBackend::Event { .. } => {
-            crate::event::try_run_spmd_event_threads_pooled(spec, 1, f, spec_arena(spec))?
-        }
+        ExecBackend::Event { threads } => crate::event::try_run_spmd_event_threads(spec, threads, f)?,
     };
-    enforce_mem_budget(spec, out)
-}
-
-/// A fresh per-run arena honouring [`MachineSpec::pooling`]. A disabled
-/// arena hands out plain allocations and drops returns, so a `pooling:
-/// false` run exercises the exact pre-arena allocation behaviour.
-fn spec_arena(spec: &MachineSpec) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(spec.pooling))
-}
-
-/// A shareable admission pool for the sharded executor: many *independent*
-/// worlds run over one [`WorkerGate`], so their combined runnable ranks —
-/// not each world's separately — are capped at the pool's worker count.
-///
-/// [`run_spmd_with`] builds a private gate per run, which is right for one
-/// world at a time but lets `k` concurrent runs oversubscribe the machine
-/// `k`-fold. A serving layer executing many tenants concurrently clones one
-/// `SchedulerPool` (cheap: it is an [`Arc`] handle) into every run instead.
-#[derive(Clone)]
-pub struct SchedulerPool {
-    gate: Arc<WorkerGate>,
-    workers: usize,
-    /// One warm buffer arena shared by every world run over this pool:
-    /// buffers recycled by one job are reused by the next instead of being
-    /// reallocated per request.
-    arena: Arc<BufferPool>,
-}
-
-impl SchedulerPool {
-    /// A pool admitting `workers` concurrently runnable ranks across all
-    /// worlds that share it.
-    ///
-    /// # Errors
-    /// [`ExecError::NoWorkers`] when `workers` is zero.
-    pub fn new(workers: usize) -> Result<Self, ExecError> {
-        if workers == 0 {
-            return Err(ExecError::NoWorkers);
-        }
-        Ok(SchedulerPool {
-            gate: Arc::new(WorkerGate::new(workers)),
-            workers,
-            arena: BufferPool::shared(),
-        })
-    }
-
-    /// The pool's total runnable-rank slots.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The pool's shared buffer arena (one warm arena across all jobs).
-    pub fn arena(&self) -> &Arc<BufferPool> {
-        &self.arena
-    }
-}
-
-impl fmt::Debug for SchedulerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedulerPool").field("workers", &self.workers).finish()
-    }
-}
-
-/// Run the rank body `f` on every rank of `spec` with admission control from
-/// a *shared* [`SchedulerPool`] instead of a per-run gate: the sharded-
-/// backend counterpart of [`run_spmd_with`] for concurrent independent
-/// worlds. Unlike the per-run path, the pool's worker count is **not**
-/// capped at `spec.p` — the spare slots belong to the other worlds sharing
-/// the pool.
-///
-/// # Errors
-/// As [`run_spmd_with`] on the sharded backend: a deadlocked or budget-
-/// breaking world surfaces as a typed [`ExecError`].
-///
-/// # Panics
-/// Panics if any rank panics (the panic is propagated).
-pub fn run_spmd_pooled<R, F, Fut>(
-    spec: &MachineSpec,
-    pool: &SchedulerPool,
-    f: F,
-) -> Result<RunOutput<R>, ExecError>
-where
-    R: Send,
-    F: Fn(RankComm) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
-    // `pooling: false` opts a run out of the shared arena too — a disabled
-    // stand-in keeps the run allocation-for-allocation identical to the
-    // pre-arena behaviour without cooling other tenants' warm buffers.
-    let arena = if spec.pooling {
-        pool.arena.clone()
-    } else {
-        Arc::new(BufferPool::disabled())
-    };
-    let out = run_world(spec, Some(pool.gate.clone()), arena, f)?;
     enforce_mem_budget(spec, out)
 }
 
@@ -606,8 +352,8 @@ where
 /// # Panics
 /// Panics if any rank panics (the panic is propagated), or on any typed
 /// executor error — most commonly `spec.p > MAX_THREADED_RANKS`; use
-/// [`run_spmd_with`] with [`ExecBackend::Sharded`]/[`ExecBackend::Event`]
-/// (or [`ExecBackend::auto`]) for larger worlds.
+/// [`run_spmd_with`] with [`ExecBackend::Event`] (or [`ExecBackend::auto`])
+/// for larger worlds.
 pub fn run_spmd<R, F, Fut>(spec: &MachineSpec, f: F) -> RunOutput<R>
 where
     R: Send,
@@ -620,31 +366,23 @@ where
     }
 }
 
-/// The shared blocking-backend skeleton: spawn one carrier per rank, drive
-/// each rank's body future on its own thread, join in rank order. Gated
-/// (sharded) worlds get small-stack carriers and acquire their admission
-/// slot on their own thread before user code; the slot is returned when the
-/// body finishes or panics (the communicator's gate handle releases on
-/// drop). `Comm::gate_enter` is a no-op on ungated (threaded) worlds.
+/// The threaded backend: spawn one OS thread per rank, drive each rank's
+/// body future on its own thread, join in rank order. The world gets a
+/// fresh buffer arena honouring [`MachineSpec::pooling`].
 ///
 /// A rank that fails with a *typed* refusal — the communicator's deadlock
 /// guard or a torn-down world, which unwind with an [`ExecError`] panic
 /// payload — is caught here and surfaced as `Err` instead of aborting the
 /// run; any other rank panic is propagated unchanged.
-fn run_world<R, F, Fut>(
-    spec: &MachineSpec,
-    gate: Option<Arc<WorkerGate>>,
-    pool: Arc<BufferPool>,
-    f: F,
-) -> Result<RunOutput<R>, ExecError>
+fn run_world<R, F, Fut>(spec: &MachineSpec, f: F) -> Result<RunOutput<R>, ExecError>
 where
     R: Send,
     F: Fn(RankComm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
     let stats = Arc::new(StatsBoard::new(spec.p));
-    let pool_stats_src = pool.clone();
-    let comms = Comm::create_world_gated(spec.p, stats.clone(), gate.clone(), spec.recv_timeout, pool);
+    let pool = Arc::new(BufferPool::new(spec.pooling));
+    let comms = Comm::create_world(spec.p, stats.clone(), spec.recv_timeout, pool.clone());
     let mut slots: Vec<Option<R>> = (0..spec.p).map(|_| None).collect();
     let mut failures: Vec<ExecError> = Vec::new();
     std::thread::scope(|s| {
@@ -652,17 +390,7 @@ where
             .into_iter()
             .map(|c| {
                 let f = &f;
-                let body = move || {
-                    c.gate_enter();
-                    block_on_ready(f(RankComm::Blocking(c)))
-                };
-                match &gate {
-                    Some(_) => std::thread::Builder::new()
-                        .stack_size(SHARDED_STACK_BYTES)
-                        .spawn_scoped(s, body)
-                        .expect("spawn rank carrier"),
-                    None => s.spawn(body),
-                }
+                s.spawn(move || block_on_ready(f(RankComm::Blocking(c))))
             })
             .collect();
         for (slot, h) in slots.iter_mut().zip(handles) {
@@ -688,7 +416,7 @@ where
     Ok(RunOutput {
         results: slots.into_iter().map(|s| s.expect("missing rank result")).collect(),
         stats: stats.snapshot(),
-        pool: pool_stats_src.stats(),
+        pool: pool.stats(),
     })
 }
 
@@ -754,86 +482,24 @@ mod tests {
                 max: MAX_THREADED_RANKS
             }
         );
-        assert!(err.to_string().contains("Sharded"));
-        assert!(err.to_string().contains("Event"));
+        assert!(err.to_string().contains("ExecBackend::event()"), "{err}");
     }
 
     #[test]
-    fn sharded_rejects_empty_pool() {
-        let spec = MachineSpec::test_machine(4, 10);
-        let err = run_spmd_with(&spec, ExecBackend::Sharded { workers: 0 }, |_| async move {}).unwrap_err();
-        assert_eq!(err, ExecError::NoWorkers);
-    }
-
-    #[test]
-    fn auto_escalates_threaded_sharded_event() {
-        assert_eq!(ExecBackend::auto(1), ExecBackend::Threaded);
-        assert_eq!(ExecBackend::auto(MAX_THREADED_RANKS), ExecBackend::Threaded);
-        assert!(matches!(
-            ExecBackend::auto(MAX_THREADED_RANKS + 1),
-            ExecBackend::Sharded { workers } if workers >= 1
-        ));
-        assert!(matches!(ExecBackend::auto(MAX_SHARDED_RANKS), ExecBackend::Sharded { .. }));
-        assert_eq!(ExecBackend::auto(MAX_SHARDED_RANKS + 1), ExecBackend::event());
-        assert_eq!(ExecBackend::auto(131_072), ExecBackend::event());
-    }
-
-    #[test]
-    fn sharded_results_are_rank_ordered() {
-        let spec = MachineSpec::test_machine(24, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 3 }, |c| async move { c.rank() * 10 })
-            .unwrap();
-        assert_eq!(out.results, (0..24).map(|r| r * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_runs_worlds_beyond_the_threaded_cap() {
-        // More ranks than the threaded cap, far more ranks than workers;
-        // every rank exchanges with a neighbour, so the gate must hand slots
-        // between parked and runnable ranks without deadlocking.
-        let p = MAX_THREADED_RANKS + 160;
-        let spec = MachineSpec::test_machine(p, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 4 }, |mut c| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        })
-        .unwrap();
-        for (r, &got) in out.results.iter().enumerate() {
-            assert_eq!(got, (r + p - 1) % p);
+    fn auto_is_threaded_up_to_the_cap_then_event() {
+        for p in [1, 512] {
+            assert_eq!(ExecBackend::auto(p), ExecBackend::Threaded, "p = {p}");
         }
-    }
-
-    #[test]
-    fn sharded_single_worker_makes_progress_through_rendezvous() {
-        // workers = 1 is the harshest schedule: every recv/barrier must yield
-        // the lone slot or the world deadlocks.
-        let spec = MachineSpec::test_machine(8, 1000);
-        let out = run_spmd_with(&spec, ExecBackend::Sharded { workers: 1 }, |mut c| async move {
-            c.barrier().await;
-            let got = if c.rank() == 0 {
-                for to in 1..c.size() {
-                    c.send(to, 1, vec![to as f64], Phase::Other);
-                }
-                0.0
-            } else {
-                c.recv(0, 1, Phase::Other).await[0]
-            };
-            c.barrier().await;
-            got
-        });
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        };
-        for r in 1..8 {
-            assert_eq!(out.results[r], r as f64);
+        for p in [513, 8192, 8193, 131_072] {
+            assert_eq!(ExecBackend::auto(p), ExecBackend::event(), "p = {p}");
         }
+        assert_eq!(MAX_THREADED_RANKS, 512);
     }
 
     #[test]
     fn all_three_backends_measure_identically() {
+        // The three engines: threaded, single-threaded event, multi-region
+        // event.
         let spec = MachineSpec::test_machine(16, 1000);
         let pattern = |mut c: RankComm| async move {
             let right = (c.rank() + 1) % c.size();
@@ -844,11 +510,11 @@ mod tests {
         };
         let counters = |out: &RunOutput<usize>| out.stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
         let threaded = run_spmd_with(&spec, ExecBackend::Threaded, pattern).unwrap();
-        let sharded = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, pattern).unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(threaded.results, sharded.results);
-        assert_eq!(threaded.stats, sharded.stats);
+        let parallel = run_spmd_with(&spec, ExecBackend::Event { threads: 2 }, pattern).unwrap();
         assert_eq!(threaded.results, event.results);
+        assert_eq!(event.results, parallel.results);
+        assert_eq!(event.stats, parallel.stats);
         // Counters are identical; only the event backend drives the virtual
         // clock, so its time fields are the extra measurement.
         assert_eq!(counters(&threaded), counters(&event));
@@ -860,29 +526,27 @@ mod tests {
     fn mismatched_tag_deadlock_is_typed_on_blocking_backends() {
         // Rank 0 sends tag 7 but rank 1 waits for tag 8 — a classic
         // mismatched-tag deadlock. The recv_timeout guard turns it into a
-        // typed error instead of a process abort, on both blocking backends.
+        // typed error instead of a process abort on the blocking backend.
         let spec =
             MachineSpec::test_machine(2, 1000).with_recv_timeout(std::time::Duration::from_millis(200));
-        for backend in [ExecBackend::Threaded, ExecBackend::Sharded { workers: 2 }] {
-            let err = run_spmd_with(&spec, backend, |mut c| async move {
-                if c.rank() == 0 {
-                    c.send(1, 7, vec![1.0], Phase::Other);
+        let err = run_spmd_with(&spec, ExecBackend::Threaded, |mut c| async move {
+            if c.rank() == 0 {
+                c.send(1, 7, vec![1.0], Phase::Other);
+            }
+            c.recv((c.rank() + 1) % 2, 8, Phase::Other).await
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::DeadlockSuspected {
+                    on: Waiting::Message { tag: 8, .. },
+                    ..
                 }
-                c.recv((c.rank() + 1) % 2, 8, Phase::Other).await
-            })
-            .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ExecError::DeadlockSuspected {
-                        on: Waiting::Message { tag: 8, .. },
-                        ..
-                    }
-                ),
-                "{backend}: {err}"
-            );
-            assert!(err.to_string().contains("deadlock suspected"), "{backend}: {err}");
-        }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("deadlock suspected"), "{err}");
     }
 
     #[test]
@@ -902,10 +566,10 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_runs_worlds_beyond_the_sharded_threshold() {
-        // A world past the auto sharded threshold: stackless ranks exchange
-        // with a neighbour and everything completes on one scheduler thread.
-        let p = MAX_SHARDED_RANKS + 1000;
+    fn event_backend_runs_worlds_far_beyond_the_threaded_cap() {
+        // A world 18x the threaded cap: stackless ranks exchange with a
+        // neighbour and everything completes on one scheduler thread.
+        let p = 18 * MAX_THREADED_RANKS;
         let spec = MachineSpec::test_machine(p, 1000);
         let out = run_spmd_with(&spec, ExecBackend::event(), |mut c| async move {
             let right = (c.rank() + 1) % c.size();
@@ -940,37 +604,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_gate_is_fifo_and_conserves_slots() {
-        let gate = Arc::new(WorkerGate::new(2));
-        gate.acquire();
-        gate.acquire();
-        // Both slots held: a queued acquire must wait until a release.
-        let g = gate.clone();
-        let waiter = std::thread::spawn(move || {
-            g.acquire();
-            g.release();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "no free slot yet");
-        gate.release();
-        waiter.join().unwrap();
-        gate.release();
-        // Both slots free again.
-        gate.acquire();
-        gate.acquire();
-        gate.release();
-        gate.release();
-    }
-
-    #[test]
     fn mem_budget_violation_is_typed_on_every_backend() {
         // Each rank allocates rank+1 words; with a budget of 2, rank 2 is
-        // the first offender — on all three backends identically.
+        // the first offender — on every backend identically.
         let spec = MachineSpec::test_machine(4, 1000).with_mem_budget(2);
         for backend in [
             ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 2 },
             ExecBackend::event(),
+            ExecBackend::Event { threads: 2 },
         ] {
             let err = run_spmd_with(&spec, backend, |c| async move {
                 c.track_alloc(c.rank() as u64 + 1);
@@ -1018,7 +659,6 @@ mod tests {
     #[test]
     fn backend_display_names() {
         assert_eq!(ExecBackend::Threaded.to_string(), "threaded");
-        assert_eq!(ExecBackend::Sharded { workers: 6 }.to_string(), "sharded(6)");
         assert_eq!(ExecBackend::event().to_string(), "event");
         assert_eq!(ExecBackend::Event { threads: 4 }.to_string(), "event(4)");
     }
@@ -1027,7 +667,6 @@ mod tests {
     fn backend_from_str_round_trips_display() {
         for backend in [
             ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 6 },
             ExecBackend::event(),
             ExecBackend::Event { threads: 4 },
         ] {
@@ -1038,95 +677,25 @@ mod tests {
     #[test]
     fn backend_from_str_accepts_aliases() {
         assert_eq!("THREADED".parse::<ExecBackend>().unwrap(), ExecBackend::Threaded);
-        assert_eq!("sharded:4".parse::<ExecBackend>().unwrap(), ExecBackend::Sharded { workers: 4 });
-        assert_eq!(
-            "sharded".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Sharded {
-                workers: ExecBackend::default_workers()
-            }
-        );
+        assert_eq!("Event".parse::<ExecBackend>().unwrap(), ExecBackend::event());
+        assert_eq!("event:4".parse::<ExecBackend>().unwrap(), ExecBackend::Event { threads: 4 });
     }
 
     #[test]
     fn backend_from_str_rejects_garbage() {
-        for bad in ["", "auto", "sharded(0)", "sharded(x)", "sharded(", "evented"] {
+        for bad in [
+            "",
+            "auto",
+            "sharded",
+            "sharded(2)",
+            "event(0)",
+            "event(x)",
+            "event(",
+            "evented",
+        ] {
             let err = bad.parse::<ExecBackend>().unwrap_err();
             assert_eq!(err.name, bad);
             assert!(err.to_string().contains("unknown execution backend"), "{err}");
         }
-    }
-
-    #[test]
-    fn scheduler_pool_rejects_zero_workers() {
-        assert!(matches!(SchedulerPool::new(0), Err(ExecError::NoWorkers)));
-        assert_eq!(SchedulerPool::new(3).unwrap().workers(), 3);
-    }
-
-    #[test]
-    fn pooled_run_matches_private_gate_run() {
-        let spec = MachineSpec::test_machine(8, 1000);
-        let pool = SchedulerPool::new(2).unwrap();
-        let body = |mut c: RankComm| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        };
-        let pooled = run_spmd_pooled(&spec, &pool, body).unwrap();
-        let private = run_spmd_with(&spec, ExecBackend::Sharded { workers: 2 }, body).unwrap();
-        assert_eq!(pooled.results, private.results);
-        assert_eq!(pooled.stats, private.stats);
-    }
-
-    #[test]
-    fn one_pool_runs_many_concurrent_worlds() {
-        // Four 8-rank worlds share 3 runnable slots; each world's ring
-        // exchange must still complete and count traffic exactly as a solo
-        // run over a same-sized private gate.
-        let body = |mut c: RankComm| async move {
-            let right = (c.rank() + 1) % c.size();
-            let left = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(right, left, 7, vec![c.rank() as f64], Phase::Other).await;
-            got[0] as usize
-        };
-        let pool = SchedulerPool::new(3).unwrap();
-        let solo = {
-            let spec = MachineSpec::test_machine(8, 1000);
-            run_spmd_with(&spec, ExecBackend::Sharded { workers: 3 }, body).unwrap()
-        };
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let pool = pool.clone();
-                    s.spawn(move || {
-                        let spec = MachineSpec::test_machine(8, 1000);
-                        run_spmd_pooled(&spec, &pool, body).unwrap()
-                    })
-                })
-                .collect();
-            for h in handles {
-                let out = h.join().unwrap();
-                assert_eq!(out.results, solo.results);
-                assert_eq!(out.stats, solo.stats);
-            }
-        });
-    }
-
-    #[test]
-    fn pooled_run_enforces_mem_budget() {
-        let spec = MachineSpec::test_machine(2, 1000).with_mem_budget(1);
-        let pool = SchedulerPool::new(2).unwrap();
-        let err = run_spmd_pooled(&spec, &pool, |c| async move {
-            c.track_alloc(5);
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::MemBudgetExceeded {
-                need: 5,
-                budget: 1,
-                ..
-            }
-        ));
     }
 }

@@ -194,8 +194,8 @@ pub struct MachineSpec {
     /// Deadlock guard: a `recv` that waits longer than this for a matching
     /// message turns the run into a typed
     /// [`ExecError::DeadlockSuspected`](crate::exec::ExecError). The
-    /// blocking (threaded/sharded) backends measure the wait in wall-clock
-    /// time; the event backend measures it on the rank's *virtual* clock
+    /// threaded backend measures the wait in wall-clock time; the event
+    /// backend measures it on the rank's *virtual* clock
     /// (alongside its structural no-rank-runnable detection). Tests that
     /// provoke deadlocks shrink it.
     pub recv_timeout: Duration,

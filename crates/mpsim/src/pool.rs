@@ -32,10 +32,7 @@
 //!
 //! One pool per world ([`crate::machine::MachineSpec::pooling`] controls
 //! whether it recycles or degenerates to plain allocation), shared by all
-//! ranks behind an [`Arc`]. The serving layer goes one step further and hands
-//! the *same* arena to every world admitted through its scheduler pool, so
-//! steady-state traffic reuses one warm arena across jobs instead of
-//! reallocating per request.
+//! ranks behind an [`Arc`].
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -93,8 +90,8 @@ impl fmt::Display for PoolStats {
     }
 }
 
-/// A size-classed free list of `Vec<f64>` buffers shared by one world (or,
-/// in the serving layer, by many worlds).
+/// A size-classed free list of `Vec<f64>` buffers shared by the ranks of one
+/// world.
 ///
 /// See the [module docs](self) for the invisibility contract. A disabled
 /// pool ([`BufferPool::disabled`]) keeps the same API but never parks or
@@ -223,9 +220,8 @@ impl BufferPool {
         }
     }
 
-    /// Drop every parked buffer (counters survive). The serving layer calls
-    /// this when a long-idle arena should release its memory; recycling
-    /// resumes transparently afterwards.
+    /// Drop every parked buffer (counters survive), releasing the arena's
+    /// memory; recycling resumes transparently afterwards.
     pub fn reset(&self) {
         for shelf in &self.shelves {
             shelf.lock().unwrap().clear();

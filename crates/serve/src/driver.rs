@@ -1,16 +1,13 @@
 //! The multi-tenant execution driver.
 //!
 //! A [`Server`] owns the serving stack — an [`AutoPlanner`] over a shared
-//! registry, a [`PlanCache`], and a [`SchedulerPool`] — plus a team of
-//! driver threads consuming a job queue. Each [`JobRequest`] is an
-//! independent SPMD world; many of them run concurrently:
-//!
-//! * **blocking backends** (threaded/sharded) execute over the *shared*
-//!   [`SchedulerPool`], so the combined runnable ranks of all concurrent
-//!   jobs — not each job's separately — respect one machine-wide worker
-//!   cap;
-//! * **event-backend** worlds are single-threaded discrete-event
-//!   simulations, so the driver threads simply interleave them.
+//! registry and a [`PlanCache`] — plus a team of driver threads consuming a
+//! job queue. Each [`JobRequest`] is an independent SPMD world; many of them
+//! run concurrently. A job that pins no backend runs on
+//! [`ExecBackend::event`]: one single-threaded discrete-event simulation per
+//! job, so the driver threads simply interleave them and a world costs no
+//! OS thread per rank. A pinned job runs on its pinned backend through the
+//! same call, [`RunSession::execute_planned`].
 //!
 //! The pipeline per job is admission → cached planning (auto-selection on
 //! a miss) → execution → a [`JobResult`] carrying the [`Selection`], the
@@ -30,6 +27,7 @@
 //! plans) and re-executing clean. The per-job [`JobResult::attempts`] and
 //! [`JobResult::degraded`] record what recovery did.
 
+use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -42,9 +40,8 @@ use cosma::plan::DistPlan;
 use cosma::problem::MmmProblem;
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
-use mpsim::exec::{ExecBackend, ExecError, SchedulerPool};
+use mpsim::exec::{ExecBackend, ExecError};
 use mpsim::machine::{Placement, Topology};
-use mpsim::pool::PoolStats;
 use mpsim::FaultPlan;
 
 use crate::auto::{AlgoChoice, AutoPlanner, Selection};
@@ -118,10 +115,7 @@ pub struct JobRequest {
     pub overlap: bool,
     /// Enforced per-rank memory budget, if any.
     pub mem_budget: Option<u64>,
-    /// Execution backend override (default: [`ExecBackend::auto`] for the
-    /// problem's world size). On blocking backends the *shared* scheduler
-    /// pool supplies the worker slots, so a `Sharded { workers }` count is
-    /// superseded by the pool's.
+    /// Execution backend override (default: [`ExecBackend::event`]).
     pub backend: Option<ExecBackend>,
     /// Network topology the job's machine is measured under (default:
     /// [`Topology::Flat`]). Part of the plan-cache key: cached plans never
@@ -131,9 +125,8 @@ pub struct JobRequest {
     /// [`Placement::Block`]).
     pub placement: Placement,
     /// Deterministic fault injection for this job's execution (default:
-    /// none). Arming a plan routes the job to the event backend unless an
-    /// explicit [`backend`](Self::backend) was pinned — blocking backends
-    /// ignore fault plans.
+    /// none). Only the event backend consults the plan; a job pinned to
+    /// [`ExecBackend::Threaded`] ignores it.
     pub faults: Option<FaultPlan>,
     /// Recovery policy when an injected fault fells the world (default:
     /// [`RetryPolicy::none`] — the typed failure surfaces immediately).
@@ -142,7 +135,7 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// A job with default knobs: auto algorithm selection, default cost
-    /// model, overlap on, auto backend.
+    /// model, overlap on, event backend.
     pub fn new(id: u64, prob: MmmProblem, a: Matrix, b: Matrix) -> Self {
         JobRequest {
             id,
@@ -242,13 +235,11 @@ pub struct ShutdownReport {
     pub undelivered: Vec<JobResult>,
 }
 
-/// Sizing knobs of a [`Server`].
+/// Sizing knobs of a [`Server`]. Every field must be at least 1.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Driver threads consuming the job queue (concurrent jobs in flight).
     pub drivers: usize,
-    /// Runnable-rank slots of the shared [`SchedulerPool`].
-    pub pool_workers: usize,
     /// Plan-cache shard count.
     pub cache_shards: usize,
     /// Plan-cache capacity (plans, across all shards).
@@ -260,17 +251,30 @@ impl Default for ServerConfig {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
         ServerConfig {
             drivers: cores.div_ceil(2).max(2),
-            pool_workers: cores,
             cache_shards: 16,
             cache_capacity: 1024,
         }
     }
 }
 
+/// [`Server::new`] refused a [`ServerConfig`]: the named field was zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The zero field: `"drivers"`, `"cache_shards"` or `"cache_capacity"`.
+    pub field: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid server config: {} must be at least 1", self.field)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 struct Shared {
     planner: AutoPlanner,
     cache: PlanCache,
-    pool: SchedulerPool,
 }
 
 /// The serving front door: submit [`JobRequest`]s, receive [`JobResult`]s.
@@ -308,17 +312,21 @@ impl Server {
     /// Spawn a server over `registry` with `config.drivers` driver threads.
     ///
     /// # Errors
-    /// [`ExecError::NoWorkers`] when `config.pool_workers` is zero.
-    ///
-    /// # Panics
-    /// Panics when `config.drivers`, `config.cache_shards` or
-    /// `config.cache_capacity` is zero.
-    pub fn new(registry: AlgorithmRegistry, config: ServerConfig) -> Result<Self, ExecError> {
-        assert!(config.drivers > 0, "the server needs at least one driver thread");
+    /// [`ConfigError`] naming the first of `config.drivers`,
+    /// `config.cache_shards` or `config.cache_capacity` that is zero.
+    pub fn new(registry: AlgorithmRegistry, config: ServerConfig) -> Result<Self, ConfigError> {
+        for (field, value) in [
+            ("drivers", config.drivers),
+            ("cache_shards", config.cache_shards),
+            ("cache_capacity", config.cache_capacity),
+        ] {
+            if value == 0 {
+                return Err(ConfigError { field });
+            }
+        }
         let shared = Arc::new(Shared {
             planner: AutoPlanner::new(registry),
             cache: PlanCache::new(config.cache_shards, config.cache_capacity),
-            pool: SchedulerPool::new(config.pool_workers)?,
         });
         let (jobs_tx, jobs_rx) = mpsc::channel::<JobRequest>();
         let (results_tx, results_rx) = mpsc::channel::<JobResult>();
@@ -421,22 +429,6 @@ impl Server {
     /// Plan-cache counters at this instant.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
-    }
-
-    /// The shared scheduler pool (e.g. to co-schedule work outside the
-    /// server under the same worker cap).
-    pub fn pool(&self) -> &SchedulerPool {
-        &self.shared.pool
-    }
-
-    /// Buffer-arena counters of the shared scheduler pool. Every
-    /// blocking-backend world this server runs leases scratch from one warm
-    /// arena and parks it back on completion, so across a stream of jobs the
-    /// hit rate climbs: later jobs multiply in earlier jobs' buffers instead
-    /// of reallocating per request. Display-only observability — recycling
-    /// never changes results or per-rank counters.
-    pub fn arena_stats(&self) -> PoolStats {
-        self.shared.pool.arena().stats()
     }
 
     /// Stop accepting jobs, drain the driver threads, and account for every
@@ -565,15 +557,7 @@ fn serve_attempt(
     let (planned, cache_hit) = shared
         .cache
         .get_or_try_insert_with(key, || shared.planner.select(&prob, &model, job.overlap, &job.choice))?;
-    // Fault plans are an event-scheduler feature: when one is armed and no
-    // explicit backend was pinned, route the job (and its recovery re-runs,
-    // for comparable virtual clocks) to the event backend — blocking
-    // backends ignore the plan entirely.
-    let backend = match job.backend {
-        Some(explicit) => explicit,
-        None if job.faults.is_some() => ExecBackend::event(),
-        None => ExecBackend::auto(p),
-    };
+    let backend = job.backend.unwrap_or(ExecBackend::event());
     let mut session = RunSession::new(prob)
         .registry(shared.planner.registry().clone())
         .algorithm(planned.selection.algo)
@@ -588,16 +572,7 @@ fn serve_attempt(
     if let Some(plan) = faults {
         session = session.faults(plan);
     }
-    let report = match backend {
-        // An event world is one single-threaded simulation; driver
-        // threads interleave many of them.
-        ExecBackend::Event { .. } => session.execute_planned(&planned.plan, &job.a, &job.b)?,
-        // Blocking worlds take their runnable slots from the shared
-        // pool, so concurrent jobs respect one machine-wide cap.
-        ExecBackend::Threaded | ExecBackend::Sharded { .. } => {
-            session.execute_planned_pooled(&planned.plan, &shared.pool, &job.a, &job.b)?
-        }
-    };
+    let report = session.execute_planned(&planned.plan, &job.a, &job.b)?;
     Ok(JobOutput {
         selection: planned.selection.clone(),
         plan: planned.plan.clone(),
@@ -615,7 +590,6 @@ mod tests {
     fn small_config() -> ServerConfig {
         ServerConfig {
             drivers: 3,
-            pool_workers: 4,
             cache_shards: 4,
             cache_capacity: 64,
         }
@@ -681,17 +655,32 @@ mod tests {
     #[test]
     fn event_and_blocking_jobs_interleave_and_agree() {
         let server = Server::new(baselines::registry(), small_config()).unwrap();
-        let blocking = job(0, 8, 3);
-        let event = job(1, 8, 3).backend(ExecBackend::event());
-        let results = server.run_batch(vec![blocking, event]);
+        let blocking = job(0, 8, 3).backend(ExecBackend::Threaded);
+        let event = job(1, 8, 3);
+        let results = server.run_batch(vec![blocking.clone(), event.clone()]);
         let a = results[0].outcome.as_ref().unwrap();
         let b = results[1].outcome.as_ref().unwrap();
-        assert_eq!(a.backend, ExecBackend::Threaded, "auto for p = 8");
-        assert_eq!(b.backend, ExecBackend::event());
+        assert_eq!(a.backend, ExecBackend::Threaded, "pinned");
+        assert_eq!(b.backend, ExecBackend::event(), "the unpinned default");
         assert_eq!(a.report.c, b.report.c, "backends agree bitwise");
         // Counters agree too; only the event backend measures virtual time.
         for (x, y) in a.report.stats.iter().zip(&b.report.stats) {
             assert_eq!(x.sans_time(), y.sans_time());
+        }
+        assert!(b.report.measured_time_s() > 0.0);
+        // Each job equals a by-hand RunSession run of its plan on its
+        // backend, bitwise on C and on the full stats.
+        for (job, out) in [(&blocking, a), (&event, b)] {
+            let reference = RunSession::new(job.prob)
+                .registry(baselines::registry())
+                .algorithm(out.selection.algo)
+                .machine(CostModel::piz_daint_two_sided())
+                .overlap(true)
+                .exec_backend(out.backend)
+                .execute_planned(&out.plan, &job.a, &job.b)
+                .unwrap();
+            assert_eq!(out.report.c, reference.c, "{}: product", out.backend);
+            assert_eq!(out.report.stats, reference.stats, "{}: stats", out.backend);
         }
     }
 
@@ -760,27 +749,43 @@ mod tests {
     }
 
     #[test]
-    fn warm_arena_recycles_buffers_across_jobs() {
-        let server = Server::new(baselines::registry(), small_config()).unwrap();
-        // CARMA's streaming executor leases every leaf buffer from the
-        // arena, so it exercises the pool on the blocking (pooled) path.
-        let carma = |id, seed| job(id, 4, seed).choice(AlgoChoice::Fixed(AlgoId::Carma));
-        let first = server.run_sync(carma(0, 0));
-        assert!(first.outcome.is_ok());
-        let cold = server.arena_stats();
-        assert!(cold.returns > 0, "the first job must park buffers in the shared arena");
-        let second = server.run_sync(carma(1, 0));
-        assert!(second.outcome.is_ok());
-        let warm = server.arena_stats();
-        assert!(
-            warm.hits > cold.hits,
-            "the second job must recycle the first job's buffers: {cold} then {warm}"
-        );
-        // And the warm-arena product is the same product.
+    fn zero_drivers_is_a_typed_config_error() {
+        let config = ServerConfig {
+            drivers: 0,
+            ..small_config()
+        };
+        let err = Server::new(baselines::registry(), config).err().unwrap();
+        assert_eq!(err, ConfigError { field: "drivers" });
+        assert_eq!(err.to_string(), "invalid server config: drivers must be at least 1");
+    }
+
+    #[test]
+    fn zero_cache_shards_is_a_typed_config_error() {
+        let config = ServerConfig {
+            cache_shards: 0,
+            ..small_config()
+        };
+        let err = Server::new(baselines::registry(), config).err().unwrap();
         assert_eq!(
-            first.outcome.unwrap().report.c,
-            second.outcome.unwrap().report.c,
-            "recycling is invisible to results"
+            err,
+            ConfigError {
+                field: "cache_shards"
+            }
+        );
+    }
+
+    #[test]
+    fn zero_cache_capacity_is_a_typed_config_error() {
+        let config = ServerConfig {
+            cache_capacity: 0,
+            ..small_config()
+        };
+        let err = Server::new(baselines::registry(), config).err().unwrap();
+        assert_eq!(
+            err,
+            ConfigError {
+                field: "cache_capacity"
+            }
         );
     }
 

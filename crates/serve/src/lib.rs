@@ -22,9 +22,9 @@
 //!   fig. 5's grid fitting generalized across algorithms. The verdict is a
 //!   typed [`Selection`] `{ algo, planned_time_s, runner_up }`.
 //! * [`Server`] — the multi-tenant driver: a team of driver threads
-//!   consumes the job queue; blocking worlds execute over one shared
-//!   [`SchedulerPool`](mpsim::exec::SchedulerPool) (a machine-wide worker
-//!   cap across *all* concurrent jobs), event worlds interleave. Per-job
+//!   consumes the job queue and runs each job's world on the event
+//!   scheduler (or on the backend the job pins), so concurrent worlds
+//!   interleave without an OS thread per simulated rank. Per-job
 //!   [`ExecReport`](cosma::api::ExecReport)s come back with the selection,
 //!   the (possibly cached) plan and a cache-hit flag. Jobs may arm a
 //!   deterministic [`FaultPlan`]; under a [`RetryPolicy`] the driver
@@ -57,6 +57,8 @@ pub mod key;
 
 pub use auto::{AlgoChoice, AutoPlanner, Planned, Ranked, Selection};
 pub use cache::{CacheStats, PlanCache};
-pub use driver::{JobOutput, JobRequest, JobResult, RetryPolicy, Server, ServerConfig, ShutdownReport};
+pub use driver::{
+    ConfigError, JobOutput, JobRequest, JobResult, RetryPolicy, Server, ServerConfig, ShutdownReport,
+};
 pub use key::PlanKey;
 pub use mpsim::FaultPlan;

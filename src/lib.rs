@@ -6,9 +6,8 @@
 //! * [`pebbles`] — red-blue pebble game, CDAGs, X-partitions, MMM I/O lower
 //!   bounds (paper §2.2, §4, §5).
 //! * [`densemat`] — dense-matrix substrate: storage, GEMM kernels, layouts.
-//! * [`mpsim`] — simulated distributed machine: threaded, sharded and
-//!   event-driven (stackless, 100k-rank) SPMD
-//!   executors, collectives, traffic counters, α-β-γ cost model (replaces
+//! * [`mpsim`] — simulated distributed machine: threaded and event-driven
+//!   (stackless, 100k-rank) SPMD executors, collectives, traffic counters, α-β-γ cost model (replaces
 //!   Piz Daint + MPI + mpiP).
 //! * [`cosma`] — the paper's contribution: near-communication-optimal
 //!   distributed matrix multiplication (§3, §6, §7).
@@ -18,14 +17,14 @@
 //! * [`serve`] — planning-as-a-service: a sharded LRU plan cache keyed by
 //!   canonical [`serve::PlanKey`]s, a cost-model auto-planner selecting the
 //!   cheapest feasible algorithm per request, and a multi-tenant
-//!   [`serve::Server`] executing many independent worlds concurrently over
-//!   a shared scheduler pool.
+//!   [`serve::Server`] executing many independent worlds concurrently on
+//!   the event scheduler.
 //!
 //! The front door is [`cosma::api::RunSession`]: pick a problem, a cost
 //! model and an [`cosma::api::AlgoId`], then `.plan()`, `.run()` (cost-model
-//! simulation) or `.execute()` (real execution — `ExecBackend::auto`
-//! escalates threaded → sharded worker-pool → event-driven stackless by
-//! world size, so any rank count up to 131072 runs end-to-end):
+//! simulation) or `.execute()` (real execution — `ExecBackend::auto` picks
+//! threaded up to 512 ranks and event-driven stackless beyond, so any rank
+//! count up to 131072 runs end-to-end):
 //!
 //! ```
 //! use cosma_repro::cosma::api::{AlgoId, RunSession};

@@ -327,23 +327,23 @@ async fn offset_exchange(mut c: mpsim::RankComm, offs: &[usize], msgs: usize) ->
     in_order
 }
 
-/// The sharded and event schedulers under random world/worker-pool sizes:
-/// every world completes (no deadlock — parked ranks must always yield
-/// their worker slot / scheduler turn), and matched send/recv pairs are
-/// delivered in send order per `(sender, tag)` even when ranks are parked
-/// and resumed between messages.
+/// The single-threaded and multi-region event schedulers under random
+/// world sizes and thread counts: every world completes (no deadlock —
+/// parked ranks must always yield their scheduler turn), and matched
+/// send/recv pairs are delivered in send order per `(sender, tag)` even
+/// when ranks are parked and resumed between messages.
 #[test]
 fn schedulers_never_deadlock_or_reorder() {
     let mut rng = Rng::new(10);
     for case in 0..16 {
         let p = rng.range(2, 48);
-        let workers = rng.range(1, 9);
+        let threads = rng.range(1, 9);
         let msgs = rng.range(1, 5);
         let offsets: Vec<usize> = (0..rng.range(1, 4)).map(|_| rng.range(1, p)).collect();
         let spec = MachineSpec::test_machine(p, 1000);
         let offs = &offsets;
         let backend = if case % 2 == 0 {
-            ExecBackend::Sharded { workers }
+            ExecBackend::Event { threads }
         } else {
             ExecBackend::event()
         };
@@ -356,15 +356,16 @@ fn schedulers_never_deadlock_or_reorder() {
     }
 }
 
-/// Random exchange patterns measure identically on all three executors: the
-/// schedulers may interleave ranks differently, but results and every
-/// per-rank counter must match the threaded baseline bit for bit.
+/// Random exchange patterns measure identically on the threaded executor
+/// and both event engines: the schedulers may interleave ranks differently,
+/// but results and every per-rank counter must match the threaded baseline
+/// bit for bit, and the event engines must agree on the clock too.
 #[test]
-fn sharded_and_event_match_threaded_on_random_patterns() {
+fn event_engines_match_threaded_on_random_patterns() {
     let mut rng = Rng::new(11);
     for _ in 0..12 {
         let p = rng.range(2, 32);
-        let workers = rng.range(1, 6);
+        let threads = rng.range(1, 6);
         let words = rng.range(1, 40);
         let rounds = rng.range(1, 4);
         let spec = MachineSpec::test_machine(p, 1000);
@@ -381,19 +382,19 @@ fn sharded_and_event_match_threaded_on_random_patterns() {
             acc
         };
         let threaded = run_spmd_with(&spec, ExecBackend::Threaded, pattern).unwrap();
-        let sharded = run_spmd_with(&spec, ExecBackend::Sharded { workers }, pattern).unwrap();
         let event = run_spmd_with(&spec, ExecBackend::event(), pattern).unwrap();
-        assert_eq!(threaded.results, sharded.results, "p={p} workers={workers}");
-        assert_eq!(threaded.stats, sharded.stats, "p={p} workers={workers}");
+        let parallel = run_spmd_with(&spec, ExecBackend::Event { threads }, pattern).unwrap();
         assert_eq!(threaded.results, event.results, "event results diverge at p={p}");
         // Counters match bit for bit; the event backend additionally drives
-        // the virtual clock, which the blocking baselines do not have.
+        // the virtual clock, which the threaded baseline does not have.
         assert_eq!(counters(&threaded.stats), counters(&event.stats), "event counters diverge at p={p}");
+        assert_eq!(event.results, parallel.results, "p={p} threads={threads}");
+        assert_eq!(event.stats, parallel.stats, "p={p} threads={threads}");
     }
 }
 
 /// Strip the virtual-clock fields for counter comparisons between backends
-/// that do (event) and do not (threaded/sharded) keep a clock.
+/// that do (event) and do not (threaded) keep a clock.
 fn counters(stats: &[mpsim::RankStats]) -> Vec<mpsim::RankStats> {
     stats.iter().map(|s| s.sans_time()).collect()
 }
@@ -807,7 +808,8 @@ fn parallel_scheduler_matches_single_thread_bitwise() {
 
 /// Buffer-reuse arenas are invisible (the PR-10 contract): executing a
 /// planned algorithm with pooling enabled and disabled produces
-/// bitwise-identical products and per-rank stats on all three executors —
+/// bitwise-identical products and per-rank stats on the threaded executor
+/// and both event engines —
 /// the arena only changes where bytes live, never what they hold or what
 /// the clock reads. The pool counters (the observability side) must show
 /// real recycling on enough pooled runs, and a disabled arena must never
@@ -841,8 +843,8 @@ fn buffer_pooling_is_bitwise_invisible_across_backends() {
         let b = Matrix::deterministic(k, n, 32);
         for backend in [
             ExecBackend::Threaded,
-            ExecBackend::Sharded { workers: 3 },
             ExecBackend::event(),
+            ExecBackend::Event { threads: 2 },
         ] {
             let spec = MachineSpec::piz_daint_with_memory(p, 1 << 20);
             let on = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b).unwrap();

@@ -4,9 +4,9 @@
 //! executing each job by hand, one at a time.
 //!
 //! This is the end-to-end guarantee the serve crate rests on: planning is a
-//! pure function of the request (so cached plans are exact), and the three
-//! executors are conformant (so a world run on the shared scheduler pool
-//! among many tenants computes exactly what it computes alone).
+//! pure function of the request (so cached plans are exact), and event
+//! worlds share no scheduler state (so a world run among many tenants
+//! computes and measures exactly what it does alone).
 
 use bench::serve_bench::{mixed_stream, unique_combos};
 use cosma::api::{AlgoId, RunSession};
@@ -35,8 +35,9 @@ fn concurrent_stream_matches_serial_run_sessions_bitwise() {
     assert_eq!(served.len(), n_jobs);
 
     // The serial reference: plan and execute every job by hand with a fresh
-    // auto-planner and a private RunSession — no serve crate on this path
-    // beyond the selection rule itself.
+    // auto-planner and a private RunSession on the server's default backend
+    // (event) — no serve crate on this path beyond the selection rule
+    // itself.
     let model = CostModel::piz_daint_two_sided();
     let planner = AutoPlanner::new(baselines::registry());
     let mut selected: Vec<AlgoId> = Vec::new();
@@ -53,7 +54,7 @@ fn concurrent_stream_matches_serial_run_sessions_bitwise() {
             .algorithm(reference.selection.algo)
             .machine(model)
             .overlap(job.overlap)
-            .exec_backend(ExecBackend::auto(job.prob.p))
+            .exec_backend(ExecBackend::event())
             .execute(&job.a, &job.b)
             .expect("serial reference run");
         assert_eq!(out.report.c, report.c, "job {}: product diverged from serial", job.id);

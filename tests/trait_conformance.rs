@@ -10,7 +10,7 @@
 
 use cosma::api::{execute_boxed, execute_boxed_with, MmmAlgorithm, PlanError, RunSession};
 use cosma::problem::MmmProblem;
-use densemat::gemm::matmul;
+use densemat::gemm::{gemm_naive, matmul};
 use densemat::matrix::Matrix;
 use mpsim::cost::CostModel;
 use mpsim::exec::{run_spmd_with, ExecBackend};
@@ -122,8 +122,8 @@ fn planned_traffic_equals_executed_traffic() {
     }
 }
 
-/// The large-world problem matrix: paper-scale rank counts that only the
-/// sharded executor can run end-to-end (the threaded backend caps at 512).
+/// The large-world problem matrix: paper-scale rank counts beyond the
+/// threaded backend's 512-rank cap, run on the event scheduler.
 /// p = 2048 is not a perfect square, so Cannon's `supports` veto is also
 /// exercised at scale; matrices are sized so every rank still owns work.
 fn large_world_problems() -> Vec<MmmProblem> {
@@ -135,21 +135,21 @@ fn large_world_problems() -> Vec<MmmProblem> {
 }
 
 /// Plan-vs-executed traffic equality at p ∈ {1024, 2048, 4096} on the
-/// sharded backend — the conformance contract at the paper's rank counts.
-/// Slow (thousands of carrier threads per algorithm): run via
-/// `cargo test -- --ignored` (the CI `large-world` job).
+/// event backend — the conformance contract at the paper's rank counts.
+/// Integer operands make every summation order exact, so each product is
+/// checked bitwise against the naive reference kernel. Slow: run via
+/// `cargo test --release -- --ignored` (the CI `large-world` job).
 #[test]
 #[ignore = "large world (>= 1024 ranks); run with --ignored"]
-fn sharded_large_world_traffic_matches_plan() {
+fn event_large_world_matches_plan_and_naive_gemm() {
     let reg = baselines::registry();
     for prob in large_world_problems() {
-        let a = Matrix::deterministic(prob.m, prob.k, 31);
-        let b = Matrix::deterministic(prob.k, prob.n, 32);
-        let want = matmul(&a, &b);
+        let a = int_matrix(prob.m, prob.k, 31);
+        let b = int_matrix(prob.k, prob.n, 32);
+        let mut want = Matrix::zeros(prob.m, prob.n);
+        gemm_naive(&a, &b, &mut want);
         let spec = MachineSpec::piz_daint_with_memory(prob.p, prob.mem_words);
-        let backend = ExecBackend::Sharded {
-            workers: ExecBackend::default_workers(),
-        };
+        let backend = ExecBackend::event();
         for algo in reg.all() {
             let id = algo.id();
             if algo.supports(&prob).is_err() {
@@ -160,11 +160,11 @@ fn sharded_large_world_traffic_matches_plan() {
             };
             let report = execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id} on p={}: {e}", prob.p));
-            assert!(
-                want.approx_eq(&report.c, 1e-9),
-                "{id} on p={}: product off by {}",
-                prob.p,
-                want.max_abs_diff(&report.c)
+            assert_eq!(
+                report.c.as_slice(),
+                want.as_slice(),
+                "{id} on p={}: product differs from gemm_naive bitwise",
+                prob.p
             );
             for (r, st) in report.stats.iter().enumerate() {
                 assert_eq!(
@@ -179,7 +179,7 @@ fn sharded_large_world_traffic_matches_plan() {
 }
 
 /// `RunSession::execute` past the threaded cap: the auto backend falls back
-/// to the sharded executor, and the verified contract still holds.
+/// to the event executor, and the verified contract still holds.
 #[test]
 fn session_auto_backend_executes_beyond_threaded_cap() {
     let prob = MmmProblem::new(128, 128, 128, 600, 1 << 18);
@@ -188,15 +188,16 @@ fn session_auto_backend_executes_beyond_threaded_cap() {
     let (plan, report) = RunSession::new(prob)
         .registry(baselines::registry())
         .execute_verified(&a, &b)
-        .expect("auto backend must shard beyond the threaded cap");
+        .expect("auto backend must run beyond the threaded cap");
     assert_eq!(plan.problem.p, 600);
     assert_eq!(report.total_recv_words(), plan.total_comm_words());
 }
 
 /// Backend equivalence: for every registry algorithm on the shared (≤ 512
-/// rank) problem matrix, the threaded, sharded and event executors produce
-/// bitwise identical per-rank `CPart` results and identical per-rank
-/// counters — scheduling must never change what is computed or measured.
+/// rank) problem matrix, the three engines — threaded, single-threaded
+/// event and multi-region event — produce bitwise identical per-rank
+/// `CPart` results and identical per-rank counters — scheduling must never
+/// change what is computed or measured.
 #[test]
 fn all_three_backends_agree_exactly() {
     let reg = baselines::registry();
@@ -225,7 +226,6 @@ fn all_three_backends_agree_exactly() {
             let threaded = run(ExecBackend::Threaded);
             let mut event_runs = Vec::new();
             for backend in [
-                ExecBackend::Sharded { workers: 3 },
                 ExecBackend::event(),
                 ExecBackend::Event { threads: 2 },
                 ExecBackend::Event { threads: 4 },
@@ -237,21 +237,19 @@ fn all_three_backends_agree_exactly() {
                     prob.p
                 );
                 // Counters agree bit for bit; the event backend additionally
-                // fills the virtual-clock fields the blocking ones leave 0.
+                // fills the virtual-clock fields the threaded one leaves 0.
                 assert_eq!(
                     strip(&threaded.stats),
                     strip(&other.stats),
                     "{id} on p={}: {backend} disagrees on measured counters",
                     prob.p
                 );
-                if matches!(backend, ExecBackend::Event { .. }) {
-                    assert!(
-                        mpsim::stats::aggregate::machine_time_s(&other.stats) > 0.0,
-                        "{id} on p={}: the event backend must measure virtual time",
-                        prob.p
-                    );
-                    event_runs.push((backend, other));
-                }
+                assert!(
+                    mpsim::stats::aggregate::machine_time_s(&other.stats) > 0.0,
+                    "{id} on p={}: the event backend must measure virtual time",
+                    prob.p
+                );
+                event_runs.push((backend, other));
             }
             // Among event-scheduler runs, the full stats — virtual times
             // included — must be bitwise-identical at every thread count.
@@ -268,13 +266,14 @@ fn all_three_backends_agree_exactly() {
 }
 
 /// The shared reference size of the acceptance contract: at p = 2048, the
-/// sharded worker pool and the event-driven stackless executor produce
-/// bitwise-identical results and identical traffic counters for every
-/// applicable algorithm. Slow; run via `cargo test -- --ignored` (CI
+/// single-threaded event scheduler and the 4-region parallel scheduler
+/// produce bitwise-identical products and identical per-rank stats —
+/// virtual times included — with plan-exact traffic, for every applicable
+/// algorithm. Slow; run via `cargo test --release -- --ignored` (CI
 /// `large-world` job).
 #[test]
 #[ignore = "large world (2048 ranks); run with --ignored"]
-fn event_and_sharded_agree_exactly_at_p2048() {
+fn event_thread_counts_agree_exactly_at_p2048() {
     let reg = baselines::registry();
     let prob = MmmProblem::new(192, 224, 512, 2048, 1 << 20);
     let a = Matrix::deterministic(prob.m, prob.k, 31);
@@ -292,21 +291,14 @@ fn event_and_sharded_agree_exactly_at_p2048() {
             execute_boxed_with(algo.as_ref(), &plan, &spec, backend, &a, &b)
                 .unwrap_or_else(|e| panic!("{id}: {e}"))
         };
-        let sharded = run(ExecBackend::Sharded {
-            workers: ExecBackend::default_workers(),
-        });
         let event = run(ExecBackend::event());
+        let parallel = run(ExecBackend::Event { threads: 4 });
         assert_eq!(
-            sharded.c.as_slice(),
+            parallel.c.as_slice(),
             event.c.as_slice(),
-            "{id} at p=2048: backends disagree on the product bitwise"
+            "{id} at p=2048: thread counts disagree on the product bitwise"
         );
-        let strip = |stats: &[mpsim::RankStats]| stats.iter().map(|s| s.sans_time()).collect::<Vec<_>>();
-        assert_eq!(
-            strip(&sharded.stats),
-            strip(&event.stats),
-            "{id} at p=2048: backends disagree on measured counters"
-        );
+        assert_eq!(parallel.stats, event.stats, "{id} at p=2048: thread counts disagree on measured stats");
         for (r, st) in event.stats.iter().enumerate() {
             assert_eq!(
                 st.total_recv(),
@@ -357,7 +349,7 @@ fn int_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// The memory-budgeted streaming contract: a CARMA problem whose pure-BFS
-/// leaf working set exceeds `S` executes end-to-end on all three backends
+/// leaf working set exceeds `S` executes end-to-end on both backends
 /// with an *enforced* budget, produces the bit-exact product of both the
 /// ample-memory BFS run and the dense reference GEMM, moves exactly the
 /// DFS plan's words, and keeps every rank's measured peak within `S`.
@@ -395,28 +387,25 @@ fn dfs_carma_matches_bfs_and_reference_bitwise_on_all_backends() {
     };
     let c_bfs = run(&ample, ExecBackend::Threaded);
     assert_eq!(c_bfs.as_slice(), want.as_slice(), "BFS CARMA vs reference GEMM");
-    for backend in [
-        ExecBackend::Threaded,
-        ExecBackend::Sharded { workers: 3 },
-        ExecBackend::event(),
-    ] {
+    for backend in [ExecBackend::Threaded, ExecBackend::event()] {
         let c_dfs = run(&tight, backend);
         assert_eq!(c_dfs.as_slice(), c_bfs.as_slice(), "{backend}: DFS vs BFS product not bitwise equal");
         assert_eq!(c_dfs.as_slice(), want.as_slice(), "{backend}: DFS vs reference not bitwise equal");
     }
 }
 
-/// COSMA's one-sided (RMA) backend on the sharded executor: `fence` is a
-/// barrier rendezvous, so the epoch protocol must survive slot hand-offs.
+/// COSMA's one-sided (RMA) backend on the event executor: `fence` is a
+/// barrier rendezvous, so the epoch protocol must survive parking every
+/// rank's state machine at each fence.
 #[test]
-fn one_sided_cosma_executes_on_the_sharded_backend() {
+fn one_sided_cosma_executes_on_the_event_backend() {
     use cosma::algorithm::Backend;
     let prob = MmmProblem::new(48, 40, 56, 12, 1 << 13);
     let a = Matrix::deterministic(prob.m, prob.k, 5);
     let b = Matrix::deterministic(prob.k, prob.n, 6);
     let (plan, report) = RunSession::new(prob)
         .backend(Backend::OneSided)
-        .exec_backend(ExecBackend::Sharded { workers: 2 })
+        .exec_backend(ExecBackend::event())
         .execute_verified(&a, &b)
         .unwrap();
     assert_eq!(report.total_recv_words(), plan.total_comm_words());
